@@ -69,6 +69,7 @@ int main() {
   bench::PrintRow(
       {"n", "Flat(s)", "HNSW(s)", "FlatBatch(s)", "HNSWBatch(s)"});
   std::vector<la::Vec> queries = bench::SyntheticTupleCloud(64, kDim, 8, 13);
+  serve::Executor* executor = &bench::BenchExecutor();
   for (size_t n : {2000u, 5000u, 10000u, 20000u}) {
     std::vector<la::Vec> cloud = bench::SyntheticTupleCloud(n, kDim, 24, 17);
     auto flat = index::MakeVectorIndex("flat", kDim, la::Metric::kCosine);
@@ -82,10 +83,10 @@ int main() {
     for (const la::Vec& q : queries) hnsw->Search(q, 10);
     double t_hnsw = watch.Seconds();
     watch.Restart();
-    flat->SearchBatch(queries, 10);
+    flat->SearchBatch(queries, 10, executor);
     double t_flat_batch = watch.Seconds();
     watch.Restart();
-    hnsw->SearchBatch(queries, 10);
+    hnsw->SearchBatch(queries, 10, executor);
     double t_hnsw_batch = watch.Seconds();
     bench::PrintRow({std::to_string(n), bench::Fmt("%.4f", t_flat),
                      bench::Fmt("%.4f", t_hnsw),

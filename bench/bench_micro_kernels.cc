@@ -263,9 +263,10 @@ void BM_IndexSearchBatch(benchmark::State& state) {
   auto idx = MakeBenchIndex(type);
   idx->AddAll(points);
   std::vector<la::Vec> queries = bench::SyntheticTupleCloud(64, 64, 8, 5);
-  benchmark::DoNotOptimize(idx->SearchBatch(queries, 10).size());
+  serve::Executor* executor = &bench::BenchExecutor();
+  benchmark::DoNotOptimize(idx->SearchBatch(queries, 10, executor).size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(idx->SearchBatch(queries, 10).size());
+    benchmark::DoNotOptimize(idx->SearchBatch(queries, 10, executor).size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(queries.size()));

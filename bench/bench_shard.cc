@@ -53,8 +53,8 @@ void BM_ShardBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardBuild)->ArgsProduct({{1, 2, 4, 8}, {0, 1}});
 
-/// Single-query scatter-gather: every shard answers top-k on its own
-/// thread, hits are remapped and k-way merged.
+/// Single-query scatter-gather: every shard answers top-k on the bench
+/// executor, hits are remapped and k-way merged.
 void BM_ShardSearch(benchmark::State& state) {
   const size_t shards = static_cast<size_t>(state.range(0));
   const char* child = kChildTypes[state.range(1)];
@@ -62,6 +62,7 @@ void BM_ShardSearch(benchmark::State& state) {
   shard::ShardedIndex index(kDim, la::Metric::kCosine,
                             BenchShardConfig(shards, child));
   index.AddAll(points);
+  index.SetExecutor(&bench::BenchExecutor());
   la::Vec query = bench::SyntheticTupleCloud(1, kDim, 1, 5)[0];
   benchmark::DoNotOptimize(index.Search(query, 10).size());
   for (auto _ : state) {
@@ -72,8 +73,8 @@ void BM_ShardSearch(benchmark::State& state) {
 BENCHMARK(BM_ShardSearch)->ArgsProduct({{1, 2, 4, 8}, {0, 1}});
 
 /// Batched scatter-gather — the tuple-search serving shape: shards answer
-/// the whole batch sequentially with their internally-parallel SearchBatch,
-/// then per-query hits merge.
+/// the whole batch sequentially, each fanning its SearchBatch out on the
+/// bench executor, then per-query hits merge.
 void BM_ShardSearchBatch(benchmark::State& state) {
   const size_t shards = static_cast<size_t>(state.range(0));
   const char* child = kChildTypes[state.range(1)];
@@ -82,9 +83,10 @@ void BM_ShardSearchBatch(benchmark::State& state) {
                             BenchShardConfig(shards, child));
   index.AddAll(points);
   std::vector<la::Vec> queries = bench::SyntheticTupleCloud(64, kDim, 8, 5);
-  benchmark::DoNotOptimize(index.SearchBatch(queries, 10).size());
+  serve::Executor* executor = &bench::BenchExecutor();
+  benchmark::DoNotOptimize(index.SearchBatch(queries, 10, executor).size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index.SearchBatch(queries, 10).size());
+    benchmark::DoNotOptimize(index.SearchBatch(queries, 10, executor).size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(queries.size()));

@@ -5,11 +5,13 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "datagen/base_tables.h"
 #include "embed/tuple_encoder.h"
 #include "la/vector_ops.h"
+#include "serve/executor.h"
 #include "util/rng.h"
 
 namespace dust::bench {
@@ -29,6 +31,14 @@ inline std::string Fmt(const char* fmt, double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), fmt, v);
   return std::string(buf);
+}
+
+/// The process's pool for parallel bench sections (SearchBatch fan-out,
+/// sharded scatter), one worker per hardware thread. Without an executor
+/// the library runs every loop inline on the caller.
+inline serve::Executor& BenchExecutor() {
+  static serve::Executor executor(std::thread::hardware_concurrency());
+  return executor;
 }
 
 /// Synthetic "unionable tuple" embedding cloud: a mixture of Gaussian

@@ -69,7 +69,7 @@ int main() {
   // --- Existing work: the k most similar ("most unionable") tuples. ---
   search::TupleSearch similarity(encoder);
   similarity.IndexLake(lake);
-  auto hits = similarity.SearchTuples(query, k);
+  auto hits = similarity.SearchTuplesChecked(query, k).ValueOrDie();
   table::Table most_similar("most_unionable");
   for (size_t j = 0; j < query.num_columns(); ++j) {
     most_similar.AddColumn(query.column(j).name);

@@ -76,11 +76,10 @@ class VectorIndex {
   }
 
   /// As above with an explicit executor. When `executor` is non-null the
-  /// queries fan out across its pooled threads — zero thread creation per
-  /// call, the steady-state serving path. When null, the legacy one-shot
-  /// behavior: OpenMP when compiled with it, freshly spawned std::threads
-  /// otherwise. Subclasses may override with fused kernels; results must
-  /// stay bit-identical across all scheduling modes.
+  /// queries fan out across its pooled threads (serve::ParallelFor); when
+  /// null they run inline on the calling thread. Subclasses may override
+  /// with fused kernels; results must stay bit-identical across all
+  /// scheduling modes.
   virtual std::vector<std::vector<SearchHit>> SearchBatch(
       const std::vector<la::Vec>& queries, size_t k,
       serve::Executor* executor) const;
@@ -164,10 +163,10 @@ class VectorIndex {
   /// Installs a shared executor for internal fan-out: the parameterless
   /// SearchBatch and any scatter the index does per query (ShardedIndex
   /// propagates to its shards and routes its per-query scatter here, so
-  /// serving never spawns a thread per query). nullptr restores the legacy
-  /// spawn-per-call behavior. Not synchronized against in-flight searches —
-  /// install during serving setup, before traffic. The executor must
-  /// outlive the index or be unset before destruction.
+  /// serving never spawns a thread per query). nullptr (the default) runs
+  /// all of it inline on the caller. Not synchronized against in-flight
+  /// searches — install during serving setup, before traffic. The executor
+  /// must outlive the index or be unset before destruction.
   virtual void SetExecutor(serve::Executor* executor) { executor_ = executor; }
   serve::Executor* executor() const { return executor_; }
 

@@ -181,11 +181,7 @@ std::vector<index::SearchHit> RouterIndex::Search(const la::Vec& query,
       failed.fetch_add(1, std::memory_order_relaxed);
     }
   };
-  if (executor_ != nullptr && shards_.size() > 1) {
-    executor_->ParallelFor(shards_.size(), call_one);
-  } else {
-    for (size_t s = 0; s < shards_.size(); ++s) call_one(s);
-  }
+  serve::ParallelFor(executor_, shards_.size(), call_one);
   if (failed.load() > 0) {
     partial_results_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -247,11 +243,7 @@ std::vector<std::vector<index::SearchHit>> RouterIndex::SearchBatch(
   // Unlike the in-process ShardedIndex (whose children already saturate
   // local cores), remote shards burn their own CPUs — fanning the batch out
   // across shards is pure parallelism for the router.
-  if (executor != nullptr && shards_.size() > 1) {
-    executor->ParallelFor(shards_.size(), call_one);
-  } else {
-    for (size_t s = 0; s < shards_.size(); ++s) call_one(s);
-  }
+  serve::ParallelFor(executor, shards_.size(), call_one);
   if (failed.load() > 0) {
     partial_results_.fetch_add(queries.size(), std::memory_order_relaxed);
   }

@@ -139,11 +139,7 @@ Status ExactRerankStage::Run(CandidateSet& set) const {
   };
   // Scorers are pure per-table functions, so pooled scoring is
   // deterministic: every slot is written exactly once, then sorted.
-  if (set.executor != nullptr && set.tables.size() > 1) {
-    set.executor->ParallelFor(set.tables.size(), score_one);
-  } else {
-    for (size_t i = 0; i < set.tables.size(); ++i) score_one(i);
-  }
+  serve::ParallelFor(set.executor, set.tables.size(), score_one);
   std::sort(hits.begin(), hits.end(), [](const TableHit& a, const TableHit& b) {
     if (a.score != b.score) return a.score > b.score;
     return a.table_index < b.table_index;

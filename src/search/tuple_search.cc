@@ -343,15 +343,6 @@ uint64_t TupleSearch::ConfigHash() const {
   return h;
 }
 
-std::vector<TupleHit> TupleSearch::SearchTuples(const table::Table& query,
-                                                size_t k) const {
-  DUST_CHECK(index_ != nullptr);
-  if (query.num_rows() == 0) return {};  // historical contract: no hits
-  Result<std::vector<TupleHit>> result = SearchTuplesChecked(query, k);
-  DUST_CHECK(result.ok());
-  return std::move(result).value();
-}
-
 Result<std::vector<TupleHit>> TupleSearch::SearchTuplesChecked(
     const table::Table& query, size_t k) const {
   std::vector<Result<std::vector<TupleHit>>> results =
@@ -411,11 +402,7 @@ std::vector<Result<std::vector<TupleHit>>> TupleSearch::SearchTuplesBatch(
     };
     // Encoders are pure functions of the text (embed/embedder.h), so
     // encoding members concurrently is safe and deterministic.
-    if (executor != nullptr) {
-      executor->ParallelFor(members.size(), encode_member);
-    } else {
-      for (size_t m = 0; m < members.size(); ++m) encode_member(m);
-    }
+    serve::ParallelFor(executor, members.size(), encode_member);
     std::vector<std::vector<index::SearchHit>> hits;
     {
       obs::Span span("index_search");
@@ -440,11 +427,7 @@ std::vector<Result<std::vector<TupleHit>>> TupleSearch::SearchTuplesBatch(
       results[i] = FuseTupleHits(hits, offsets[m], offsets[m + 1] - offsets[m],
                                  refs_, queries[i].k, allowed);
     };
-    if (executor != nullptr) {
-      executor->ParallelFor(members.size(), fuse_member);
-    } else {
-      for (size_t m = 0; m < members.size(); ++m) fuse_member(m);
-    }
+    serve::ParallelFor(executor, members.size(), fuse_member);
   }
   return results;
 }

@@ -125,16 +125,9 @@ class TupleSearch {
   }
 
   /// Top-k lake tuples by maximum cosine similarity to any query tuple.
-  /// Legacy one-shot spelling: calling before IndexLake aborts (programming
-  /// error in a batch run), and a row-less query returns no hits. Serving
-  /// code must use SearchTuplesChecked, which rejects instead of dying.
-  std::vector<TupleHit> SearchTuples(const table::Table& query,
-                                     size_t k) const;
-
-  /// Status-returning spelling for long-running servers, where a bad
-  /// request must be rejected rather than abort the process:
+  /// A bad request is rejected rather than aborting the process:
   /// FailedPrecondition before IndexLake has run, InvalidArgument for a
-  /// query table with no rows. Results are bit-identical to SearchTuples.
+  /// query table with no rows. Equivalent to a SearchTuplesBatch of one.
   Result<std::vector<TupleHit>> SearchTuplesChecked(const table::Table& query,
                                                     size_t k) const;
 

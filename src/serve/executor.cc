@@ -113,4 +113,13 @@ void Executor::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
   loop->all_done.wait(lock, [&] { return loop->done.load() == loop->n; });
 }
 
+void ParallelFor(Executor* executor, size_t n,
+                 const std::function<void(size_t)>& body) {
+  if (executor != nullptr) {
+    executor->ParallelFor(n, body);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) body(i);
+}
+
 }  // namespace dust::serve

@@ -1,12 +1,12 @@
-// Shared fixed-size thread-pool executor — the serving-path replacement for
-// ad-hoc `std::thread` spawning.
+// Shared fixed-size thread-pool executor: the one scheduling primitive for
+// in-process fan-out.
 //
-// Before this existed, every ShardedIndex::Search scattered across freshly
-// created threads and every non-OpenMP SearchBatch spun up a worker pool per
-// call; under concurrent query traffic that is thousands of thread
-// creations per second on the hot path. An Executor is created once (per
-// QueryServer, bench, or CLI invocation) and reused: steady-state serving
-// does zero thread creation.
+// Every parallel loop in the library (SearchBatch across queries, the
+// ShardedIndex and RouterIndex scatters, tuple-search encode/fuse, cascade
+// rerank) runs through serve::ParallelFor below. An Executor is created once
+// (per QueryServer, bench, or CLI invocation) and reused: steady-state
+// serving does zero thread creation. A null executor means "run inline on
+// the calling thread", exactly like Executor(0).
 //
 // The header is dependency-free (standard library only) so the low-level
 // index layer can take an optional `serve::Executor*` without a layering
@@ -91,6 +91,13 @@ class Executor {
   std::atomic<size_t> busy_{0};
   std::vector<std::thread> threads_;
 };
+
+/// Runs body(0..n-1) on `executor` (Executor::ParallelFor), or inline in
+/// index order on the calling thread when `executor` is null. The single
+/// null-safe entry point for fan-out: call sites never branch on whether an
+/// executor is installed.
+void ParallelFor(Executor* executor, size_t n,
+                 const std::function<void(size_t)>& body);
 
 }  // namespace dust::serve
 

@@ -85,16 +85,16 @@ class ShardedIndex : public index::VectorIndex {
 
   /// Scatter-gather: every shard answers top-k, hits merge deterministically
   /// in shard order. With an executor installed (SetExecutor) the scatter
-  /// runs on pooled threads — zero thread creation per query, the serving
-  /// path; without one it spawns a thread per shard (legacy one-shot).
+  /// runs on pooled threads — zero thread creation per query; without one
+  /// the shards are searched in order on the calling thread.
   std::vector<index::SearchHit> Search(const la::Vec& query,
                                        size_t k) const override;
   using index::VectorIndex::SearchBatch;
   /// Scatter-gather batch: each shard answers the whole batch with its own
-  /// (internally parallel) SearchBatch, then per-query hits are merged.
-  /// Shards are scanned sequentially on purpose — a child's SearchBatch
-  /// already fans out across cores, and nesting another parallel layer on
-  /// top would oversubscribe them. `executor` is forwarded to the children.
+  /// SearchBatch, then per-query hits are merged. Shards are scanned
+  /// sequentially on purpose — `executor` is forwarded to the children, whose
+  /// SearchBatch already fans out on it, and nesting another parallel layer
+  /// on top would oversubscribe the pool. A null executor runs it all inline.
   std::vector<std::vector<index::SearchHit>> SearchBatch(
       const std::vector<la::Vec>& queries, size_t k,
       serve::Executor* executor) const override;

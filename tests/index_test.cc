@@ -4,13 +4,16 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <set>
+#include <thread>
 
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
 #include "index/ivf_index.h"
 #include "index/lsh_index.h"
 #include "la/simd/kernels.h"
+#include "obs/trace.h"
 #include "shard/sharded_index.h"
 #include "util/rng.h"
 
@@ -694,6 +697,67 @@ INSTANTIATE_TEST_SUITE_P(
                        }))),
     [](const ::testing::TestParamInfo<std::pair<const char*, IndexFactory>>&
            info) { return info.param.first; });
+
+// --- scheduling without an executor ----------------------------------------
+
+/// Flat index that records the thread every Search runs on.
+class ThreadRecordingIndex : public FlatIndex {
+ public:
+  using FlatIndex::FlatIndex;
+
+  std::vector<SearchHit> Search(const la::Vec& query,
+                                size_t k) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      threads_.insert(std::this_thread::get_id());
+    }
+    return FlatIndex::Search(query, k);
+  }
+
+  std::set<std::thread::id> threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::set<std::thread::id> threads_;
+};
+
+TEST(NullExecutorTest, SearchBatchRunsOnlyOnTheCallingThread) {
+  ThreadRecordingIndex index(12, la::Metric::kCosine);
+  index.AddAll(RandomUnitVectors(200, 12, 3));
+  const std::vector<la::Vec> queries = RandomUnitVectors(64, 12, 4);
+  const auto explicit_null = index.SearchBatch(queries, 5, nullptr);
+  const auto installed_none = index.SearchBatch(queries, 5);
+  ASSERT_EQ(explicit_null.size(), queries.size());
+  ASSERT_EQ(installed_none.size(), queries.size());
+  EXPECT_EQ(index.threads(),
+            (std::set<std::thread::id>{std::this_thread::get_id()}));
+}
+
+TEST(NullExecutorTest, ShardedSearchScattersOnlyOnTheCallingThread) {
+  shard::ShardedIndexConfig config;
+  config.num_shards = 4;
+  shard::ShardedIndex sharded(12, la::Metric::kCosine, config);
+  sharded.AddAll(RandomUnitVectors(200, 12, 5));
+  // A sampled trace makes every shard's scatter span record the thread
+  // that searched the shard.
+  const obs::TraceContext trace{obs::NewTraceId(), 0, true};
+  {
+    obs::ScopedTraceContext scope(trace);
+    ASSERT_EQ(sharded.Search(RandomUnitVectors(1, 12, 6)[0], 5).size(), 5u);
+  }
+  const uint64_t caller =
+      std::hash<std::thread::id>{}(std::this_thread::get_id());
+  std::set<std::string> shards_seen;
+  for (const obs::SpanRecord& span : obs::SpanCollector::Global().Snapshot()) {
+    if (span.trace_id != trace.trace_id || span.name != "scatter") continue;
+    EXPECT_EQ(span.thread_id, caller) << span.tags;
+    shards_seen.insert(span.tags);
+  }
+  EXPECT_EQ(shards_seen.size(), config.num_shards);
+}
 
 }  // namespace
 }  // namespace dust::index

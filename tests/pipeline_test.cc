@@ -128,7 +128,7 @@ TEST_F(PipelineFixture, DiverseOutputBeatsSimilaritySearchOnDiversity) {
 
   search::TupleSearch similarity(encoder);
   similarity.IndexLake(*lake_);
-  auto similar = similarity.SearchTuples(query, 15);
+  auto similar = similarity.SearchTuplesChecked(query, 15).ValueOrDie();
 
   auto embed_rows = [&](const Table& t) {
     return encoder->EncodeTableRows(t);

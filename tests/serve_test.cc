@@ -1,8 +1,8 @@
 // Tests for src/serve and the executor-routed search paths: Executor task
 // and ParallelFor semantics (including nesting), BoundedQueue backpressure
 // (blocks, never drops) and close-drains semantics, QueryServer parity with
-// sequential SearchTuples under concurrent clients, per-request rejection
-// of malformed queries, shutdown completing in-flight requests,
+// sequential SearchTuplesChecked under concurrent clients, per-request
+// rejection of malformed queries, shutdown completing in-flight requests,
 // bit-identical results when ShardedIndex / SearchBatch fan-out moves from
 // spawned threads onto a shared executor, the Metrics instruments
 // (histogram quantiles stay O(buckets) regardless of sample count, text
@@ -79,11 +79,18 @@ TEST(ExecutorTest, SubmitRunsTasksAndFulfillsFutures) {
 TEST(ExecutorTest, ZeroThreadsRunsInline) {
   Executor executor(0);
   EXPECT_EQ(executor.num_threads(), 0u);
-  std::vector<int> order;
-  executor.ParallelFor(4, [&](size_t i) {
-    order.push_back(static_cast<int>(i));  // inline => sequential, in order
-  });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  const std::thread::id caller = std::this_thread::get_id();
+  // An empty pool and a null executor are the same schedule: inline on the
+  // caller, sequential, in order.
+  Executor* const schedules[] = {&executor, nullptr};
+  for (Executor* schedule : schedules) {
+    std::vector<int> order;
+    ParallelFor(schedule, 4, [&](size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(static_cast<int>(i));
+    });
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  }
   bool ran = false;
   executor.Submit([&] { ran = true; }).get();
   EXPECT_TRUE(ran);
@@ -543,16 +550,6 @@ TEST_F(ServeFixture, CheckedRejectsZeroRowQuery) {
   auto result = search_->SearchTuplesChecked(empty, 5);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  // The legacy spelling keeps its historical silent-empty contract.
-  EXPECT_TRUE(search_->SearchTuples(empty, 5).empty());
-}
-
-TEST_F(ServeFixture, CheckedMatchesLegacySearchTuples) {
-  for (const Table& q : *queries_) {
-    auto checked = search_->SearchTuplesChecked(q, 8);
-    ASSERT_TRUE(checked.ok());
-    ExpectSameHits(search_->SearchTuples(q, 8), checked.value());
-  }
 }
 
 TEST_F(ServeFixture, BatchMixedValidityAnswersPerRequest) {
@@ -565,8 +562,10 @@ TEST_F(ServeFixture, BatchMixedValidityAnswersPerRequest) {
   ASSERT_TRUE(results[0].ok());
   EXPECT_EQ(results[1].status().code(), StatusCode::kInvalidArgument);
   ASSERT_TRUE(results[2].ok());
-  ExpectSameHits(search_->SearchTuples((*queries_)[0], 5), results[0].value());
-  ExpectSameHits(search_->SearchTuples((*queries_)[1], 5), results[2].value());
+  ExpectSameHits(search_->SearchTuplesChecked((*queries_)[0], 5).ValueOrDie(),
+                 results[0].value());
+  ExpectSameHits(search_->SearchTuplesChecked((*queries_)[1], 5).ValueOrDie(),
+                 results[2].value());
 }
 
 TEST_F(ServeFixture, BatchGroupsMixedKsWithoutPerturbingResults) {
@@ -578,10 +577,13 @@ TEST_F(ServeFixture, BatchGroupsMixedKsWithoutPerturbingResults) {
                                                 {&(*queries_)[2], 3}};
   auto results = search_->SearchTuplesBatch(batch);
   ASSERT_EQ(results.size(), 3u);
-  ExpectSameHits(search_->SearchTuples((*queries_)[0], 3), results[0].value());
-  ExpectSameHits(search_->SearchTuples((*queries_)[1], big_k),
-                 results[1].value());
-  ExpectSameHits(search_->SearchTuples((*queries_)[2], 3), results[2].value());
+  ExpectSameHits(search_->SearchTuplesChecked((*queries_)[0], 3).ValueOrDie(),
+                 results[0].value());
+  ExpectSameHits(
+      search_->SearchTuplesChecked((*queries_)[1], big_k).ValueOrDie(),
+      results[1].value());
+  ExpectSameHits(search_->SearchTuplesChecked((*queries_)[2], 3).ValueOrDie(),
+                 results[2].value());
 }
 
 // --- QueryServer ------------------------------------------------------------
@@ -591,7 +593,7 @@ TEST_F(ServeFixture, ConcurrentClientsGetSequentialResults) {
   // with the same queries; every response must be bit-identical.
   std::vector<std::vector<TupleHit>> expected;
   for (const Table& q : *queries_) {
-    expected.push_back(search_->SearchTuples(q, 7));
+    expected.push_back(search_->SearchTuplesChecked(q, 7).ValueOrDie());
   }
   QueryServerOptions options;
   options.threads = 4;
@@ -724,7 +726,8 @@ TEST_F(ServeFixture, CacheHitBitIdenticalToUncachedServing) {
   options.cache_entries = 128;
   QueryServer server(search_, options);
   for (const Table& q : *queries_) {
-    const std::vector<TupleHit> oracle = search_->SearchTuples(q, 7);
+    const std::vector<TupleHit> oracle =
+        search_->SearchTuplesChecked(q, 7).ValueOrDie();
     auto cold = server.Submit(q, 7).get();
     ASSERT_TRUE(cold.ok());
     ExpectSameHits(oracle, cold.value());
@@ -784,7 +787,8 @@ TEST(QueryServerCacheTest, ReindexedLakeServesZeroStaleHits) {
   lake.clear();
   for (const Table& t : lake_storage) lake.push_back(&t);
   search.IndexLake(lake);
-  const std::vector<TupleHit> fresh_oracle = search.SearchTuples(query, 6);
+  const std::vector<TupleHit> fresh_oracle =
+      search.SearchTuplesChecked(query, 6).ValueOrDie();
   auto after = server.Submit(query, 6).get();
   ASSERT_TRUE(after.ok());
   ASSERT_EQ(after.value().size(), fresh_oracle.size());
@@ -856,7 +860,7 @@ TEST_F(ServeFixture, ConcurrentHitMissStormStaysConsistent) {
   // the cache or the batch path, and the counters must reconcile exactly.
   std::vector<std::vector<TupleHit>> expected;
   for (const Table& q : *queries_) {
-    expected.push_back(search_->SearchTuples(q, 6));
+    expected.push_back(search_->SearchTuplesChecked(q, 6).ValueOrDie());
   }
   QueryServerOptions options;
   options.threads = 4;
